@@ -6,7 +6,6 @@ import (
 
 	"mkbas/internal/bacnet"
 	"mkbas/internal/camkes"
-	"mkbas/internal/core"
 	"mkbas/internal/linuxsim"
 	"mkbas/internal/minix"
 	"mkbas/internal/obs"
@@ -38,36 +37,6 @@ type BACnetOptions struct {
 	// (degraded-mode autonomy). Zero — the default for standalone boards —
 	// deploys no watchdog and costs nothing.
 	SupervisionWindow time.Duration
-}
-
-// DeployMinixWithBACnet is DeployMinix plus the BACnet gateway. The gateway
-// runs as its own process under ACIDBACnetGateway: the kernel's ACM gives it
-// exactly the web interface's authority, so field-bus requests — forged or
-// not — can never reach the actuator drivers. Kept as a thin wrapper over
-// the Deploy registry now that every backend understands BACnetOptions.
-//
-// Deprecated: use Deploy(PlatformMinix, ...) with DeployOptions.BACnet
-// instead; the MINIX backend defaults the policy to
-// core.ScenarioPolicyWithGateway() whenever BACnet is enabled.
-func DeployMinixWithBACnet(tb *Testbed, cfg ScenarioConfig, opts MinixOptions, bopts BACnetOptions) (*MinixDeployment, error) {
-	if opts.Policy == nil {
-		opts.Policy = core.ScenarioPolicyWithGateway()
-	}
-	platform := PlatformMinix
-	if opts.DisableACM {
-		platform = PlatformMinixVanilla
-	}
-	dep, err := Deploy(platform, tb, cfg, DeployOptions{
-		SkipPolicyCheck: opts.SkipPolicyCheck,
-		Policy:          opts.Policy,
-		WebRoot:         opts.WebRoot,
-		MinixWeb:        opts.WebBody,
-		BACnet:          bopts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dep.(*MinixDeployment), nil
 }
 
 // gatewayStore adapts any platform's ControlClient to a BACnet property

@@ -28,27 +28,6 @@ const (
 	statusFlagAlarm  = 1 << 1
 )
 
-// MinixOptions configures DeployMinix.
-type MinixOptions struct {
-	// Policy overrides the default core.ScenarioPolicy().
-	Policy *core.Policy
-	// DisableACM boots the vanilla-MINIX ablation.
-	DisableACM bool
-	// WebBody replaces the legitimate web interface with attacker code
-	// ("we assume the web interface process can execute arbitrary code").
-	WebBody func(api *minix.API)
-	// WebRoot runs the web process as uid 0, modelling the paper's
-	// root-escalated second simulation. On MINIX this must not change any
-	// outcome — that is the point: "user privilege is not directly tied
-	// with access control and IPC".
-	WebRoot bool
-	// SkipPolicyCheck disables the pre-deploy static policy gate; see
-	// DeployOptions.SkipPolicyCheck for the shared semantics. Attack
-	// experiments that deliberately deploy over-permissive policies set it;
-	// production paths never should.
-	SkipPolicyCheck bool
-}
-
 // MinixDeployment is the booted MINIX platform.
 type MinixDeployment struct {
 	deploymentBase
@@ -63,29 +42,6 @@ var _ Deployment = (*MinixDeployment)(nil)
 func (d *MinixDeployment) ControllerAlive() bool {
 	_, err := d.Kernel.EndpointOf(NameTempControl)
 	return err == nil
-}
-
-// DeployMinix boots the security-enhanced MINIX 3 platform on a testbed. It
-// is a thin wrapper over the Deploy registry, kept so existing callers
-// compile unchanged.
-//
-// Deprecated: use Deploy(PlatformMinix, ...) (or PlatformMinixVanilla for
-// DisableACM) with DeployOptions instead.
-func DeployMinix(tb *Testbed, cfg ScenarioConfig, opts MinixOptions) (*MinixDeployment, error) {
-	platform := PlatformMinix
-	if opts.DisableACM {
-		platform = PlatformMinixVanilla
-	}
-	dep, err := Deploy(platform, tb, cfg, DeployOptions{
-		SkipPolicyCheck: opts.SkipPolicyCheck,
-		Policy:          opts.Policy,
-		WebRoot:         opts.WebRoot,
-		MinixWeb:        opts.WebBody,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dep.(*MinixDeployment), nil
 }
 
 // deployMinix is the MINIX backend of the Deploy registry: it boots the

@@ -38,9 +38,10 @@ func ScenarioProperties() []polcheck.Property {
 	}
 }
 
-// LinuxScenarioDAC builds the static DAC model of the DeployLinux
-// deployment — same account, mode, and ownership tables the boot path uses,
-// so the analysis cannot drift from the running system. hardened selects the
+// LinuxScenarioDAC builds the static DAC model of the Linux deployments
+// (PlatformLinux and PlatformLinuxHardened) — same account, mode, and
+// ownership tables the boot path uses, so the analysis cannot drift from the
+// running system. hardened selects the
 // unique-accounts variant; webRoot models the paper's privilege-escalation
 // assumption by running the web interface as uid 0.
 func LinuxScenarioDAC(hardened, webRoot bool) *polcheck.DACModel {

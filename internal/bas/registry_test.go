@@ -58,39 +58,6 @@ func TestDeployUnknownPlatform(t *testing.T) {
 	}
 }
 
-// TestWrappersMatchRegistry: the per-platform Deploy* wrappers and the
-// registry produce deployments of the same concrete type, so legacy callers
-// and registry callers observe identical behaviour.
-func TestWrappersMatchRegistry(t *testing.T) {
-	cfg := DefaultScenario()
-
-	tb1 := NewTestbed(cfg)
-	defer tb1.Machine.Shutdown()
-	if _, err := DeployMinix(tb1, cfg, MinixOptions{}); err != nil {
-		t.Fatalf("DeployMinix: %v", err)
-	}
-
-	tb2 := NewTestbed(cfg)
-	defer tb2.Machine.Shutdown()
-	dep, err := Deploy(PlatformMinix, tb2, cfg, DeployOptions{})
-	if err != nil {
-		t.Fatalf("Deploy: %v", err)
-	}
-	if _, ok := dep.(*MinixDeployment); !ok {
-		t.Errorf("registry returned %T, want *MinixDeployment", dep)
-	}
-
-	tb3 := NewTestbed(cfg)
-	defer tb3.Machine.Shutdown()
-	depV, err := Deploy(PlatformMinixVanilla, tb3, cfg, DeployOptions{})
-	if err != nil {
-		t.Fatalf("Deploy(vanilla): %v", err)
-	}
-	if depV.Platform() != PlatformMinixVanilla {
-		t.Errorf("vanilla deployment reports platform %q", depV.Platform())
-	}
-}
-
 // TestHardenedLinuxGateRuns: the hardened deployment passes the pre-deploy
 // gate (the unique-account DAC model satisfies the contract statically),
 // and SkipPolicyCheck is accepted on the Linux options too — the hoisted

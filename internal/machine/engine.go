@@ -1,8 +1,12 @@
+// iter.Pull needs go1.23; go.mod stays at 1.22, the version benchmark/go.mod pins.
+//go:build go1.23
+
 package machine
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"time"
 
 	"mkbas/internal/obs"
@@ -25,10 +29,11 @@ const (
 // TrapHandler is the kernel personality of a board. Exactly one handler is
 // attached to an Engine; it receives every trap and every process exit.
 //
-// Handlers run while holding the engine token (see Engine) and may call back
-// into the engine (Spawn, Ready, Kill, clock scheduling) synchronously. A
-// handler that kills the trapping process during HandleTrap may return any
-// disposition; the engine notices the death and discards the reply.
+// Handlers run inside Engine.Run while every process is suspended (see
+// Engine) and may call back into the engine (Spawn, Ready, Kill, clock
+// scheduling) synchronously. A handler that kills the trapping process during
+// HandleTrap may return any disposition; the engine notices the death and
+// discards the reply.
 type TrapHandler interface {
 	// HandleTrap processes one system call from process pid.
 	HandleTrap(pid PID, req any) (reply any, disposition Disposition)
@@ -160,15 +165,12 @@ func (r *pidRing) grow() {
 }
 
 // Engine schedules simulated processes over a virtual clock and routes their
-// traps to the attached kernel. It is single-threaded in the token-passing
-// sense: at any instant exactly one goroutine — the host inside Run, or one
-// process goroutine — holds the engine token, and only the token holder may
-// touch engine, clock, or kernel state. Traps are therefore plain function
-// calls: Context.Trap runs the kernel handler and the scheduler inline on
-// the trapping process's goroutine, and only pays a channel handoff when the
-// next runnable process is a different one. Every cross-goroutine transfer
-// of the token goes through a channel operation, which is what keeps the
-// design race-detector clean.
+// traps to the attached kernel. Each process body runs as an iter.Pull
+// coroutine; Run is the only scheduler. It resumes one process at a time,
+// which runs until its next trap (a yield) or until its body ends, and then
+// serves that trap itself. Processes therefore never run concurrently with
+// each other or with the kernel, and the coroutine switch supplies the
+// happens-before edge the race detector needs, whichever goroutine calls Run.
 type Engine struct {
 	clock   *Clock
 	handler TrapHandler
@@ -182,25 +184,10 @@ type Engine struct {
 	live    int
 
 	// current is the PID whose trap is being handled; lastRun drives
-	// context-switch accounting.
+	// context-switch accounting; until is the horizon of the Run in progress.
 	current PID
 	lastRun PID
-
-	// Token-passing run state. active is the process whose goroutine holds
-	// the engine token (nil while the host holds it); until is the horizon
-	// of the Run call in progress; hostDone returns the token to the host
-	// when a stop condition is reached.
-	active   *Proc
-	until    Time
-	hostDone chan RunResult
-
-	// Stashed scheduling decision for token-held unwinds: when a kill hits
-	// the process whose goroutine is executing the scheduler, the decision
-	// already made must survive the unwind (see Kill and Context.Trap).
-	stashNext    *Proc
-	stashStop    RunResult
-	stashStopped bool
-	stashValid   bool
+	until   Time
 
 	stats    Stats
 	shutdown bool
@@ -226,12 +213,7 @@ type Engine struct {
 // NewEngine creates an engine over clock. The handler must be attached with
 // SetHandler before the first Spawn.
 func NewEngine(clock *Clock, costs Costs) *Engine {
-	return &Engine{
-		clock:    clock,
-		costs:    costs,
-		hostDone: make(chan RunResult),
-		nextPID:  1,
-	}
+	return &Engine{clock: clock, costs: costs, nextPID: 1}
 }
 
 // SetHandler attaches the kernel personality. It must be called exactly once,
@@ -281,10 +263,6 @@ func (e *Engine) lookup(pid PID) *Proc {
 // Proc returns the process control block for pid, or nil if it never existed.
 func (e *Engine) Proc(pid PID) *Proc { return e.lookup(pid) }
 
-// Current returns the PID whose trap is being handled, or NoPID outside
-// dispatch.
-func (e *Engine) Current() PID { return e.current }
-
 // LiveCount reports the number of processes that have not exited.
 func (e *Engine) LiveCount() int { return e.live }
 
@@ -326,9 +304,8 @@ func (e *Engine) Spawn(name string, prio int, body func(ctx *Context)) (*Proc, e
 		state:  StateNew,
 		engine: e,
 		body:   body,
-		resume: make(chan any),
-		done:   make(chan struct{}),
 	}
+	p.next, p.stop = iter.Pull(p.run)
 	e.nextPID++
 	e.procs = append(e.procs, p)
 	e.live++
@@ -336,76 +313,7 @@ func (e *Engine) Spawn(name string, prio int, body func(ctx *Context)) (*Proc, e
 	e.mSpawns.Inc()
 	e.mLive.Set(int64(e.live))
 	e.enqueue(p)
-	go runBody(p)
 	return p, nil
-}
-
-// runBody hosts one process goroutine: it waits for the first dispatch, runs
-// the body, and on exit books the death inline (it holds the engine token)
-// before handing the token on. A kill sentinel received at a parking point
-// unwinds the goroutine without any engine access (the killer holds the
-// token and is synchronously waiting on done); a kill issued from this
-// goroutine's own call stack leaves the token here, so the unwound goroutine
-// passes it on after user-level deferred cleanup has finished.
-func runBody(p *Proc) {
-	defer close(p.done)
-	e := p.engine
-
-	first := <-p.resume
-	if _, killed := first.(killSentinel); killed {
-		return
-	}
-
-	var (
-		crashed bool
-		killed  bool
-		pv      any
-	)
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, isKill := r.(killSentinel); isKill {
-				killed = true
-				return
-			}
-			crashed = true
-			pv = r
-		}()
-		p.body(&Context{proc: p})
-	}()
-	if killed {
-		if p.tokenUnwind {
-			// Self-kill (or a timer kill while scheduling): the exit was
-			// booked by Kill, the body and its defers have unwound, and this
-			// goroutine still holds the token. Hand it on — resuming the
-			// decision stashed before the unwind, if one was made.
-			if e.stashValid {
-				next, stop, stopped := e.stashNext, e.stashStop, e.stashStopped
-				e.stashNext, e.stashValid = nil, false
-				e.handoff(next, stop, stopped)
-			} else {
-				e.handoff(e.schedule())
-			}
-		}
-		return
-	}
-
-	// The body returned or crashed while holding the token: book the exit
-	// inline — this is the body-exit "trap" of the old channel design, so it
-	// pays the same trap cost and dispatch count — then hand the token on.
-	sc := e.trapEnter(p)
-	p.state = StateDead
-	e.live--
-	e.stats.Exits++
-	e.mExits.Inc()
-	e.mLive.Set(int64(e.live))
-	e.current = NoPID
-	e.handler.OnProcExit(p.pid, ExitInfo{Crashed: crashed, PanicValue: pv})
-	sc.End()
-	e.handoff(e.schedule())
 }
 
 // Ready wakes a blocked process, delivering reply as the return value of the
@@ -431,12 +339,11 @@ func (e *Engine) Ready(pid PID, reply any) error {
 }
 
 // Kill destroys a process in any live state, including the process whose trap
-// is currently being handled. For a parked victim the goroutine is fully
-// unwound before Kill returns; for the process executing this very call (the
-// kernel killing its caller, or a timer callback killing the scheduler's
-// host process) the exit is booked immediately and the unwind happens when
-// control returns to Context.Trap. In both cases the kernel's OnProcExit
-// hook fires with Killed set before the next dispatch.
+// is currently being handled. A suspended victim is unwound before its exit
+// is booked. The process whose trap is being handled (the kernel killing its
+// caller) has its exit booked first and is unwound once HandleTrap returns.
+// In both cases the kernel's OnProcExit hook fires with Killed set before the
+// next dispatch.
 func (e *Engine) Kill(pid PID) error {
 	p := e.lookup(pid)
 	if p == nil {
@@ -445,42 +352,31 @@ func (e *Engine) Kill(pid PID) error {
 	if p.state == StateDead {
 		return fmt.Errorf("%w: %d", ErrProcDead, pid)
 	}
-	if p == e.active {
-		// The victim's goroutine is the one executing this Kill. It cannot
-		// be parked on its resume channel, so book the exit here and let
-		// Context.Trap (or runBody) unwind the goroutine and pass the token
-		// on once user-level deferred cleanup has finished.
-		e.dequeue(p)
-		p.state = StateDead
-		e.live--
-		e.stats.Exits++
-		e.mExits.Inc()
-		e.mLive.Set(int64(e.live))
-		e.handler.OnProcExit(pid, ExitInfo{Killed: true})
-		return nil
-	}
-	// Every other live process is parked on its resume channel (New: awaiting
-	// first dispatch; Ready: awaiting reply delivery; Blocked: awaiting
-	// wake-up), so the sentinel handoff below cannot block.
 	p.state = StateDead
 	e.dequeue(p)
-	p.resume <- killSentinel{}
-	<-p.done
+	if pid != e.current {
+		p.stop()
+	}
+	e.retire(p, ExitInfo{Killed: true})
+	return nil
+}
+
+// retire books the death of p, already marked dead, and tells the kernel.
+func (e *Engine) retire(p *Proc, info ExitInfo) {
 	e.live--
 	e.stats.Exits++
 	e.mExits.Inc()
 	e.mLive.Set(int64(e.live))
-	e.handler.OnProcExit(pid, ExitInfo{Killed: true})
-	return nil
+	e.handler.OnProcExit(p.pid, info)
 }
 
 // Run executes the board until virtual time reaches until, all processes
-// exit, or the board deadlocks. It may be called repeatedly to run a
-// simulation in slices; all state is preserved between calls.
+// exit, or the board deadlocks. It may be called repeatedly, from any
+// goroutine, to run a simulation in slices; all state is preserved between
+// calls.
 //
-// Run hands the engine token to the first runnable process and then parks;
-// processes pass the token among themselves (see Context.Trap) until a stop
-// condition returns it here.
+// Each turn of the loop picks the next process, resumes its coroutine until
+// it traps or its body ends, and then serves the trap or books the exit.
 func (e *Engine) Run(until Time) RunResult {
 	if e.handler == nil {
 		panic("machine: Run before SetHandler")
@@ -491,12 +387,45 @@ func (e *Engine) Run(until Time) RunResult {
 	sc := e.phRun.Begin()
 	defer sc.End()
 	e.until = until
-	next, stop, stopped := e.schedule()
-	if stopped {
-		return stop
+	for {
+		p, stop, stopped := e.schedule()
+		if stopped {
+			return stop
+		}
+		e.switchTo(p)
+		req, ok := p.next()
+		dispatch := e.trapEnter()
+		if ok {
+			e.serve(p, req)
+		} else {
+			// The body returned or crashed: its exit is the process's last
+			// kernel entry.
+			p.state = StateDead
+			e.retire(p, p.exit)
+		}
+		dispatch.End()
 	}
-	e.dispatchTo(next)
-	return <-e.hostDone
+}
+
+// serve hands one trap from p to the kernel and files p by the disposition.
+func (e *Engine) serve(p *Proc, req any) {
+	e.current = p.pid
+	reply, disposition := e.handler.HandleTrap(p.pid, req)
+	e.current = NoPID
+	switch {
+	case p.state == StateDead:
+		// The kernel killed its caller; Kill booked the exit and left the
+		// unwind to now, so OnProcExit ran before the body's deferred calls.
+		p.stop()
+	case disposition == DispositionContinue:
+		p.pendingReply = reply
+		p.state = StateReady
+		e.enqueue(p)
+	case disposition == DispositionBlock:
+		p.state = StateBlocked
+	default:
+		panic(fmt.Sprintf("machine: invalid disposition %d", disposition))
+	}
 }
 
 // Shutdown kills every live process so no goroutines outlive the simulation.
@@ -508,8 +437,7 @@ func (e *Engine) Shutdown() {
 		}
 		p.state = StateDead
 		e.dequeue(p)
-		p.resume <- killSentinel{}
-		<-p.done
+		p.stop()
 		e.live--
 	}
 	e.shutdown = true
@@ -532,9 +460,8 @@ func (e *Engine) fireDueTimers() {
 	}
 }
 
-// schedule advances the board to its next action while the calling goroutine
-// holds the engine token: fire due timers, then either pick the next ready
-// process or decide why the run stops.
+// schedule advances the board to its next action: fire due timers, then
+// either pick the next ready process or decide why the run stops.
 func (e *Engine) schedule() (next *Proc, stop RunResult, stopped bool) {
 	for {
 		e.fireDueTimers()
@@ -559,55 +486,27 @@ func (e *Engine) schedule() (next *Proc, stop RunResult, stopped bool) {
 	}
 }
 
-// handoff executes a scheduling decision while holding the token: resume the
-// next process, or return the token to the host goroutine parked in Run.
-// After handoff returns the caller no longer holds the token and must not
-// touch engine state.
-func (e *Engine) handoff(next *Proc, stop RunResult, stopped bool) {
-	if stopped {
-		e.active = nil
-		e.hostDone <- stop
-		return
-	}
-	e.dispatchTo(next)
-}
-
-// dispatchTo hands the engine token to p by delivering its pending reply on
-// its resume channel. The channel rendezvous is the context switch — and the
-// happens-before edge the race detector needs.
-func (e *Engine) dispatchTo(p *Proc) {
-	reply := e.switchTo(p)
-	p.resume <- reply
-}
-
-// switchTo books the scheduling of p (context-switch accounting, run state,
-// token ownership) and returns the reply to deliver. Shared by the channel
-// handoff and the same-process fast path in Context.Trap.
-func (e *Engine) switchTo(p *Proc) any {
+// switchTo books the scheduling of p: context-switch accounting and run
+// state.
+func (e *Engine) switchTo(p *Proc) {
 	if e.lastRun != p.pid {
 		e.stats.ContextSwitches++
-		p.switches++
 		e.mSwitches.Inc()
 		e.charge(e.costs.Switch)
 	}
 	e.lastRun = p.pid
 	p.state = StateRunning
-	e.active = p
-	reply := p.pendingReply
-	p.pendingReply = nil
-	return reply
 }
 
-// trapEnter books one kernel entry for p: the dispatch and trap counters and
-// the trap cost. The returned scope is the engine.dispatch phase entry; the
+// trapEnter books one kernel entry: the dispatch and trap counters and the
+// trap cost. The returned scope is the engine.dispatch phase entry; the
 // caller ends it when the kernel work for this entry is done. One scope is
-// booked per trap and per body exit — the same count the channel design's
-// dispatch loop produced — which keeps the perf skeleton deterministic.
-func (e *Engine) trapEnter(p *Proc) perf.Scope {
+// booked per trap and per body exit, which keeps the perf skeleton
+// deterministic.
+func (e *Engine) trapEnter() perf.Scope {
 	sc := e.phDispatch.Begin()
 	e.mDispatches.Inc()
 	e.stats.Traps++
-	p.traps++
 	e.mTraps.Inc()
 	e.charge(e.costs.Trap)
 	return sc

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -15,6 +16,8 @@ import (
 //	recvReq{}     — rendezvous receive (blocks until a matching send)
 //	spawnReq{...} — spawn a child
 //	killReq{pid}  — kill a process
+//	killLaterReq{pid,block} — arm a zero-delay timer that kills pid, then
+//	                continue (or block, if block is set) the caller
 type toyKernel struct {
 	e *Engine
 
@@ -38,7 +41,11 @@ type (
 		prio int
 		body func(ctx *Context)
 	}
-	killReq struct{ pid PID }
+	killReq      struct{ pid PID }
+	killLaterReq struct {
+		pid   PID
+		block bool
+	}
 )
 
 type pendingSend struct {
@@ -103,6 +110,18 @@ func (k *toyKernel) HandleTrap(pid PID, req any) (any, Disposition) {
 		return p.PID(), DispositionContinue
 	case killReq:
 		return k.e.Kill(r.pid), DispositionContinue
+	case killLaterReq:
+		// The timer is due at once, so it fires in the scheduling pass that
+		// follows this trap, before any process runs again.
+		k.e.Clock().After(0, func() {
+			if err := k.e.Kill(r.pid); err != nil {
+				panic(err)
+			}
+		})
+		if r.block {
+			return nil, DispositionBlock
+		}
+		return nil, DispositionContinue
 	default:
 		return fmt.Errorf("toy: unknown trap %T", req), DispositionContinue
 	}
@@ -323,6 +342,116 @@ func TestKillSelfDuringTrap(t *testing.T) {
 	}
 }
 
+// TestKillUnwindPaths covers every way a process can be killed while its body
+// is suspended in a trap: by the kernel during its own trap, by a timer in
+// the scheduling pass right after its trap, and by a peer while it is
+// parked. In each the victim's deferred cleanup runs, a trap from that
+// cleanup never returns and books nothing, the kernel sees exactly one
+// killed exit, and the rest of the board runs on with identical accounting.
+func TestKillUnwindPaths(t *testing.T) {
+	const (
+		trapCost   = 500 * time.Nanosecond
+		switchCost = time.Microsecond
+	)
+	peerYields := func(ctx *Context, victim PID) { ctx.Trap(yieldReq{}) }
+	cases := []struct {
+		name string
+		// victimReq is the victim's only trap, built from its own PID.
+		victimReq func(self PID) any
+		// peer, if set, runs as a second process spawned after the victim.
+		peer       func(ctx *Context, victim PID)
+		wantReason StopReason
+		wantStats  Stats
+	}{
+		{
+			name:       "kernel kills its caller",
+			victimReq:  func(self PID) any { return killReq{pid: self} },
+			wantReason: StopAllExited,
+			wantStats:  Stats{Traps: 1, ContextSwitches: 1, Spawns: 1, Exits: 1, KernelTime: trapCost + switchCost},
+		},
+		{
+			name:       "timer kills the last trapper while scheduling, run ends",
+			victimReq:  func(self PID) any { return killLaterReq{pid: self} },
+			wantReason: StopAllExited,
+			wantStats:  Stats{Traps: 1, ContextSwitches: 1, Spawns: 1, Exits: 1, KernelTime: trapCost + switchCost},
+		},
+		{
+			name:       "timer kills the last trapper while scheduling, peer runs next",
+			victimReq:  func(self PID) any { return killLaterReq{pid: self} },
+			peer:       peerYields,
+			wantReason: StopAllExited,
+			wantStats:  Stats{Traps: 3, ContextSwitches: 2, Spawns: 2, Exits: 2, KernelTime: 3*trapCost + 2*switchCost},
+		},
+		{
+			name:       "timer kills the last trapper after it blocked, peer runs next",
+			victimReq:  func(self PID) any { return killLaterReq{pid: self, block: true} },
+			peer:       peerYields,
+			wantReason: StopAllExited,
+			wantStats:  Stats{Traps: 3, ContextSwitches: 2, Spawns: 2, Exits: 2, KernelTime: 3*trapCost + 2*switchCost},
+		},
+		{
+			name:       "peer kills the parked victim",
+			victimReq:  func(PID) any { return recvReq{} },
+			peer:       func(ctx *Context, victim PID) { ctx.Trap(killReq{pid: victim}) },
+			wantReason: StopAllExited,
+			wantStats:  Stats{Traps: 3, ContextSwitches: 2, Spawns: 2, Exits: 2, KernelTime: 3*trapCost + 2*switchCost},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, k := newTestBoard(t)
+			e := m.Engine()
+			var deferRan, deferTrapReturned, resumed, peerDone bool
+			victim := mustSpawn(t, e, "victim", 7, func(ctx *Context) {
+				defer func() {
+					deferRan = true
+					ctx.Trap(yieldReq{})
+					deferTrapReturned = true
+				}()
+				ctx.Trap(c.victimReq(ctx.PID()))
+				resumed = true
+			}).PID()
+			if c.peer != nil {
+				mustSpawn(t, e, "peer", 7, func(ctx *Context) {
+					c.peer(ctx, victim)
+					peerDone = true
+				})
+			}
+			res := m.Run(time.Second)
+			if res.Reason != c.wantReason {
+				t.Errorf("Run reason = %v, want %v", res.Reason, c.wantReason)
+			}
+			if resumed {
+				t.Error("victim resumed after its kill")
+			}
+			if !deferRan {
+				t.Error("victim's deferred cleanup did not run")
+			}
+			if deferTrapReturned {
+				t.Error("a trap from the killed victim's cleanup returned")
+			}
+			if c.peer != nil && !peerDone {
+				t.Error("peer did not run to completion after the kill")
+			}
+			killed := 0
+			for _, x := range k.exits {
+				if x.info.Killed {
+					killed++
+					if x.pid != victim {
+						t.Errorf("killed exit for pid %d, want victim %d", x.pid, victim)
+					}
+				}
+			}
+			if killed != 1 {
+				t.Errorf("exits = %+v, want exactly one killed", k.exits)
+			}
+			if got := e.Stats(); got != c.wantStats {
+				t.Errorf("stats = %+v, want %+v", got, c.wantStats)
+			}
+		})
+	}
+}
+
 func TestKillDeadProcessFails(t *testing.T) {
 	m, _ := newTestBoard(t)
 	e := m.Engine()
@@ -435,35 +564,41 @@ func TestContextSwitchAccounting(t *testing.T) {
 	}
 }
 
-func TestDeterministicReplay(t *testing.T) {
-	runOnce := func() (Stats, Time, []string) {
-		m := New(Config{Seed: 42})
-		e := m.Engine()
-		newToyKernel(e)
-		defer m.Shutdown()
-		var events []string
-		var consumerPID PID
-		consumer := func(ctx *Context) {
-			for i := 0; i < 20; i++ {
-				v := ctx.Trap(recvReq{})
-				events = append(events, fmt.Sprintf("recv %v", v))
-			}
+// replayBoard builds a fixed producer/consumer workload, lets drive run it,
+// and returns the resulting accounting, end time and consumer trace.
+func replayBoard(drive func(m *Machine) RunResult) (Stats, Time, []string) {
+	m := New(Config{Seed: 42})
+	e := m.Engine()
+	newToyKernel(e)
+	defer m.Shutdown()
+	var events []string
+	var consumerPID PID
+	consumer := func(ctx *Context) {
+		for i := 0; i < 20; i++ {
+			v := ctx.Trap(recvReq{})
+			events = append(events, fmt.Sprintf("recv %v", v))
 		}
-		consumerPID = mustSpawnNoT(e, "consumer", 6, consumer)
-		for w := 0; w < 4; w++ {
-			w := w
-			mustSpawnNoT(e, fmt.Sprintf("producer%d", w), 7, func(ctx *Context) {
-				for i := 0; i < 5; i++ {
-					ctx.Trap(sleepReq{d: time.Duration(w+1) * time.Millisecond})
-					ctx.Trap(sendReq{to: consumerPID, v: fmt.Sprintf("w%d-%d", w, i)})
-				}
-			})
-		}
-		res := m.Run(10 * time.Second)
-		return e.Stats(), res.Now, events
 	}
-	s1, t1, e1 := runOnce()
-	s2, t2, e2 := runOnce()
+	consumerPID = mustSpawnNoT(e, "consumer", 6, consumer)
+	for w := 0; w < 4; w++ {
+		w := w
+		mustSpawnNoT(e, fmt.Sprintf("producer%d", w), 7, func(ctx *Context) {
+			for i := 0; i < 5; i++ {
+				ctx.Trap(sleepReq{d: time.Duration(w+1) * time.Millisecond})
+				ctx.Trap(sendReq{to: consumerPID, v: fmt.Sprintf("w%d-%d", w, i)})
+			}
+		})
+	}
+	res := drive(m)
+	return e.Stats(), res.Now, events
+}
+
+// runOnce drives a board to a fixed horizon in a single Run.
+func runOnce(m *Machine) RunResult { return m.Run(10 * time.Second) }
+
+func TestDeterministicReplay(t *testing.T) {
+	s1, t1, e1 := replayBoard(runOnce)
+	s2, t2, e2 := replayBoard(runOnce)
 	if s1 != s2 {
 		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
 	}
@@ -480,6 +615,34 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestRunSlicesFromFreshGoroutines resumes the same board from a new
+// goroutine on every Run slice, the way a building worker pool steps
+// whichever board it picks up. Under -race this pins that a process
+// suspended by one goroutine's Run can be resumed by another's; the result
+// must match a single uninterrupted Run.
+func TestRunSlicesFromFreshGoroutines(t *testing.T) {
+	wantStats, _, wantEvents := replayBoard(runOnce)
+	gotStats, _, gotEvents := replayBoard(func(m *Machine) RunResult {
+		var res RunResult
+		for i := 1; i <= 40; i++ {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res = m.RunUntil(Time(0).Add(time.Duration(i) * 250 * time.Millisecond))
+			}()
+			wg.Wait()
+		}
+		return res
+	})
+	if gotStats != wantStats {
+		t.Fatalf("sliced stats = %+v, want %+v", gotStats, wantStats)
+	}
+	if strings.Join(gotEvents, ",") != strings.Join(wantEvents, ",") {
+		t.Fatalf("sliced events = %v, want %v", gotEvents, wantEvents)
+	}
+}
+
 func mustSpawnNoT(e *Engine, name string, prio int, body func(ctx *Context)) PID {
 	p, err := e.Spawn(name, prio, body)
 	if err != nil {
@@ -492,20 +655,25 @@ func TestShutdownUnwindsAllGoroutines(t *testing.T) {
 	m := New(Config{})
 	e := m.Engine()
 	newToyKernel(e)
-	var procs []*Proc
+	unwound := 0
 	for i := 0; i < 8; i++ {
-		procs = append(procs, mustSpawn(t, e, fmt.Sprintf("p%d", i), 7, func(ctx *Context) {
+		mustSpawn(t, e, fmt.Sprintf("p%d", i), 7, func(ctx *Context) {
+			defer func() { unwound++ }()
 			ctx.Trap(recvReq{})
-		}))
+		})
 	}
 	m.Run(time.Second)
+	// Spawned after the run, so Shutdown must stop it before its first
+	// dispatch without ever running the body.
+	mustSpawn(t, e, "late-new", 7, func(ctx *Context) {
+		t.Error("body of a never-dispatched process ran")
+	})
 	m.Shutdown()
-	for _, p := range procs {
-		select {
-		case <-p.done:
-		default:
-			t.Fatalf("process %s goroutine not unwound", p.Name())
-		}
+	if unwound != 8 {
+		t.Fatalf("deferred cleanup ran in %d of 8 parked processes", unwound)
+	}
+	if e.LiveCount() != 0 {
+		t.Fatalf("live = %d after Shutdown, want 0", e.LiveCount())
 	}
 	if _, err := e.Spawn("late", 7, func(ctx *Context) {}); err == nil {
 		t.Fatal("Spawn after Shutdown succeeded")

@@ -15,7 +15,7 @@ type ProcState int
 
 // Process lifecycle states.
 const (
-	// StateNew means the goroutine exists but has never been scheduled.
+	// StateNew means the process exists but has never been scheduled.
 	StateNew ProcState = iota + 1
 	// StateReady means the process has a pending trap reply and is waiting
 	// for CPU.
@@ -48,9 +48,9 @@ func (s ProcState) String() string {
 	}
 }
 
-// killSentinel is delivered on a process's resume channel to force it to
-// unwind. The body wrapper recognises the resulting panic and treats it as a
-// kill rather than a crash.
+// killSentinel is the panic Context.Trap raises once a process has been
+// stopped, to unwind its body. The coroutine wrapper recognises it and treats
+// it as a kill rather than a crash.
 type killSentinel struct{}
 
 // ExitInfo describes how a process left the system.
@@ -73,31 +73,19 @@ type Proc struct {
 	engine *Engine
 	body   func(ctx *Context)
 
-	// resume carries trap replies (and the kill sentinel) from the engine to
-	// the parked goroutine. It is unbuffered: a handoff is a context switch.
-	resume chan any
-	// done is closed by the body wrapper when the goroutine has fully
-	// unwound.
-	done chan struct{}
+	// next resumes the body's coroutine until its next trap (ok) or until
+	// the body returns or crashes (!ok); stop unwinds a suspended coroutine.
+	// yield is the coroutine's side of next: it reports false once stop has
+	// been called.
+	next  func() (any, bool)
+	stop  func()
+	yield func(any) bool
 
 	// pendingReply is delivered at the next dispatch while the proc is Ready.
 	pendingReply any
 
-	// dying is set (by the process's own goroutine) when the kill sentinel
-	// arrives, so deferred cleanup running during unwinding cannot trap into
-	// a kernel that is no longer listening.
-	dying bool
-
-	// tokenUnwind is set when a kill hit this process on its own call stack
-	// (the kernel killed its caller during HandleTrap, or a timer callback
-	// killed the process running the scheduler). The unwinding goroutine
-	// still holds the engine token and must pass it on from runBody once
-	// user-level deferred cleanup has finished.
-	tokenUnwind bool
-
-	// Accounting.
-	traps    int64
-	switches int64
+	// exit records how the body ended when it returned or crashed.
+	exit ExitInfo
 }
 
 // PID returns the process identifier.
@@ -111,12 +99,6 @@ func (p *Proc) Priority() int { return p.prio }
 
 // State returns the engine-level lifecycle state.
 func (p *Proc) State() ProcState { return p.state }
-
-// Traps returns the number of traps this process has taken.
-func (p *Proc) Traps() int64 { return p.traps }
-
-// Switches returns the number of times this process was context-switched in.
-func (p *Proc) Switches() int64 { return p.switches }
 
 // Context is the view of the board a process body receives. All interaction
 // with the outside world goes through Trap, which hands control to the
@@ -136,78 +118,33 @@ func (c *Context) Name() string { return c.proc.name }
 func (c *Context) Now() Time { return c.proc.engine.clock.Now() }
 
 // Trap synchronously invokes the kernel with an arbitrary request and returns
-// the kernel's reply. The calling goroutine yields the virtual CPU until the
-// kernel schedules it again; from the process's perspective the call simply
-// blocks.
-//
-// Under the token-passing engine this is a direct function call: the calling
-// goroutine holds the engine token, so it runs the kernel handler and the
-// scheduler inline. When the next runnable process is the caller itself the
-// reply is returned without touching a channel; otherwise the token is handed
-// to the next process (or back to the host) and the caller parks until its
-// next dispatch.
+// the kernel's reply. The process yields the virtual CPU until the kernel
+// schedules it again; from the process's perspective the call simply blocks.
 //
 // If the process is killed while parked inside Trap — or kills itself via the
-// kernel — the call never returns: the goroutine unwinds via an internal
-// panic that the engine recovers. Deferred cleanup that traps during that
-// unwinding re-panics immediately — a dead process gets no more system calls.
+// kernel — the call never returns: the body unwinds via an internal panic
+// that the engine recovers. Deferred cleanup that traps during that unwinding
+// re-panics immediately — a dead process gets no more system calls.
 func (c *Context) Trap(req any) any {
 	p := c.proc
-	e := p.engine
-	if p.dying {
+	if !p.yield(req) {
 		panic(killSentinel{})
 	}
-	if e.active != p {
-		panic(fmt.Sprintf("machine: trap from %d (%s) while %d running", p.pid, p.name, e.lastRun))
-	}
-	sc := e.trapEnter(p)
-	e.current = p.pid
-	reply, disposition := e.handler.HandleTrap(p.pid, req)
-	e.current = NoPID
-	if p.state == StateDead {
-		// The kernel killed the calling process while handling its trap;
-		// Kill already booked the exit. Unwind before any other process
-		// runs; runBody hands the token on afterwards.
-		sc.End()
-		p.tokenUnwind = true
-		p.dying = true
-		panic(killSentinel{})
-	}
-	switch disposition {
-	case DispositionContinue:
-		p.pendingReply = reply
-		p.state = StateReady
-		e.enqueue(p)
-	case DispositionBlock:
-		p.state = StateBlocked
-	default:
-		panic(fmt.Sprintf("machine: invalid disposition %d", disposition))
-	}
-	next, stop, stopped := e.schedule()
-	if p.state == StateDead {
-		// A timer callback killed us while scheduling. Stash the decision —
-		// nextReady may already have popped the next process — and let
-		// runBody perform the handoff once the goroutine has unwound.
-		e.stashNext, e.stashStop, e.stashStopped = next, stop, stopped
-		e.stashValid = true
-		sc.End()
-		p.tokenUnwind = true
-		p.dying = true
-		panic(killSentinel{})
-	}
-	if next == p {
-		// Fast path: the caller is the next runnable process — keep the
-		// token and return the reply with zero channel operations.
-		out := e.switchTo(p)
-		sc.End()
-		return out
-	}
-	sc.End()
-	e.handoff(next, stop, stopped)
-	parked := <-p.resume
-	if _, killed := parked.(killSentinel); killed {
-		p.dying = true
-		panic(killSentinel{})
-	}
-	return parked
+	reply := p.pendingReply
+	p.pendingReply = nil
+	return reply
+}
+
+// run is the body's coroutine. It records a crash and absorbs the kill
+// sentinel, so no panic reaches Engine.Run through next or stop.
+func (p *Proc) run(yield func(any) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, killed := r.(killSentinel); !killed {
+				p.exit = ExitInfo{Crashed: true, PanicValue: r}
+			}
+		}
+	}()
+	p.body(&Context{proc: p})
 }

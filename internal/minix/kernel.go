@@ -595,7 +595,8 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		if err := k.m.Engine().Kill(pid); err != nil {
 			return errReply{err: err}, machine.DispositionContinue
 		}
-		// Unreachable: Kill unwound the goroutine.
+		// The engine discards this reply: the caller is dead and unwinds
+		// once HandleTrap returns.
 		return errReply{}, machine.DispositionContinue
 	case kSpawnReq:
 		if !self.isServer {

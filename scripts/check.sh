@@ -25,10 +25,13 @@ go run ./cmd/polcheck -scenario tempcontrol -tenant -audit -strict -allow polche
 # E4 must at least run; perf comparisons happen out of band. One iteration is
 # enough for the smoke — the bench bodies themselves assert invariants.
 go test -run XXX -bench BenchmarkE4 -benchtime 1x .
+# Scratch area for goldens and the re-recorded bench records, so the gate
+# leaves the working tree untouched.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+out1="$tmp/out1"; out2="$tmp/out2"
 # Determinism golden: two runs of the default MINIX scenario must produce
 # byte-identical observability reports (virtual time only, no map order).
-out1="$(mktemp)"; out2="$(mktemp)"
-trap 'rm -f "$out1" "$out2"' EXIT
 go run ./cmd/basmon -platform minix -json >"$out1"
 go run ./cmd/basmon -platform minix -json >"$out2"
 cmp "$out1" "$out2"
@@ -49,7 +52,7 @@ cmp "$out1" "$out2"
 # deliberately much wider than the deepest worker pool (50 shards vs 8
 # workers) so the curve measures steady-state scheduling, not pool drain.
 bench='platforms=all;actions=all;models=both'
-go run ./cmd/baslab -sweep "$bench" -bench 1,2,4,8 -bench-out BENCH_lab.json
+go run ./cmd/baslab -sweep "$bench" -bench 1,2,4,8 -bench-out "$tmp/BENCH_lab.json"
 # E10 chaos smoke: one fault plan through each platform's recovery path
 # (MINIX RS, the seL4 monitor, the hardened-Linux supervisor).
 go run ./cmd/basmon -platform minix -faults crash-sensor -duration 1h >/dev/null
@@ -62,7 +65,7 @@ go run ./cmd/baslab -sweep "$chaos" -faults crash-sensor,hang-sensor -workers 1 
 go run ./cmd/baslab -sweep "$chaos" -faults crash-sensor,hang-sensor -workers 8 -json -q >"$out2"
 cmp "$out1" "$out2"
 # Chaos scaling bench: the same determinism bit across worker widths.
-go run ./cmd/baslab -sweep "$chaos" -faults crash-sensor -bench 1,2,4,8 -bench-out BENCH_faults.json
+go run ./cmd/baslab -sweep "$chaos" -faults crash-sensor -bench 1,2,4,8 -bench-out "$tmp/BENCH_faults.json"
 # Building determinism golden (DESIGN.md §11): a 16-room mixed building under
 # the lateral-movement attack, with one room's sensor crashed, must produce
 # byte-identical reports whether boards step serially or 8 at a time.
@@ -81,7 +84,7 @@ go run ./cmd/basbuilding -rooms 6 -settle 12m -window 20m >/dev/null
 go run ./cmd/basbuilding -sweep 'rooms=4;mix=paper;secure=even,none;attack=both;settle=10m;window=10m' -json -q >/dev/null
 # Building lockstep scaling bench: 64 boards in lockstep rounds; exits
 # nonzero if any worker width's report deviates from the serial baseline.
-go run ./cmd/basbuilding -rooms 64 -settle 10m -window 20m -bench 1,2,4,8 -bench-out BENCH_building.json
+go run ./cmd/basbuilding -rooms 64 -settle 10m -window 20m -bench 1,2,4,8 -bench-out "$tmp/BENCH_building.json"
 # E12 monitor smoke: the online policy monitor runs clean on every platform
 # (zero drift on certified traffic is asserted by the unit tests).
 go run ./cmd/basmon -platform minix -monitor -duration 30m >/dev/null
@@ -134,11 +137,11 @@ go run ./cmd/basbuilding $e16b -workers 4 -json >"$out2"
 cmp "$out1" "$out2"
 # Tenant API scaling bench: requests/sec across worker widths; exits nonzero
 # if any width's merged report deviates from the serial baseline.
-go run ./cmd/basload -bench 1,2,4,8 -bench-out BENCH_api.json
+go run ./cmd/basload -bench 1,2,4,8 -bench-out "$tmp/BENCH_api.json"
 # Bench guard: the four BENCH records re-measured above must not collapse
-# below the checked-in baselines on board_steps_per_sec. The tolerance
-# still absorbs CI jitter (0.4 = fail below 60% of baseline) but was
-# tightened once the hot-path rebuild (DESIGN.md §14) made throughput
-# worth defending; scripts/bench_compare.sh prints the percent-level
-# deltas this guard deliberately ignores.
-go run ./cmd/benchguard -tolerance 0.4
+# below the checked-in baselines (scripts/bench_baselines/) on
+# board_steps_per_sec. The tolerance still absorbs CI jitter (0.4 = fail
+# below 60% of baseline) but was tightened once the hot-path rebuild
+# (DESIGN.md §14) made throughput worth defending; scripts/bench_compare.sh
+# prints the percent-level deltas this guard deliberately ignores.
+go run ./cmd/benchguard -fresh "$tmp" -tolerance 0.4
